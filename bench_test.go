@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/campaign"
@@ -535,19 +536,30 @@ func BenchmarkVClock(b *testing.B) {
 	})
 }
 
-// BenchmarkGoroutineHarness measures the channel-handshake frontend
-// against the interpreter on the same logical program.
+// BenchmarkGoroutineHarness measures the closure frontend against the
+// interpreter on the same logical program: on its default iter.Pull
+// coroutines, and on the goroutine handshake an armed stall watchdog
+// runs it on.
 func BenchmarkGoroutineHarness(b *testing.B) {
 	bm := mustBench(b, "coarse-disjoint-2x2")
 	b.Run("interpreter", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			exec.Run(bm.Program, exec.FirstEnabled{}, exec.Options{})
 		}
 	})
 	b.Run("goroutines", func(b *testing.B) {
+		b.ReportAllocs()
 		p := harnessCoarse()
 		for i := 0; i < b.N; i++ {
 			exec.Run(p, exec.FirstEnabled{}, exec.Options{})
+		}
+	})
+	b.Run("goroutines-watchdog", func(b *testing.B) {
+		b.ReportAllocs()
+		p := harnessCoarse()
+		for i := 0; i < b.N; i++ {
+			exec.Run(p, exec.FirstEnabled{}, exec.Options{StallTimeout: time.Second})
 		}
 	})
 }

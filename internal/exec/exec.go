@@ -222,6 +222,12 @@ func Run(src model.Source, ch Chooser, opt Options) Outcome {
 	out.StateSig = m.StateSig()
 	out.Failures = m.Failures()
 	out.Races = tr.Races()
+	if out.Deadlock {
+		// The blocked threads' coroutines are still parked at their
+		// pending operations; release them now that the outcome has
+		// been read, or every deadlock witness replay leaks them.
+		m.Abort()
+	}
 	return out
 }
 

@@ -224,7 +224,7 @@ const (
 	BackendSnapshot
 	// BackendReplay re-executes the retained prefix from the initial
 	// state on every backtrack. Works for every program, including
-	// goroutine-backed ones that cannot snapshot.
+	// Go-closure (goharness) ones that cannot snapshot.
 	BackendReplay
 )
 
@@ -899,7 +899,7 @@ func (c *cursor) resetTo(d int) {
 
 // close releases any external resources of the live execution; the
 // cursor must not be used afterwards. Only the replay backend can hold
-// abortable (goroutine-backed) coroutines: the other backends require
+// abortable (Go-closure) coroutines: the other backends require
 // snapshottable programs, which are self-contained by construction.
 func (c *cursor) close() {
 	if c.backend == BackendReplay {

@@ -1,12 +1,19 @@
 // Package goharness runs real Go closures under the systematic
 // concurrency tester. Each thread of the program under test is a
-// goroutine that announces every visible operation (shared reads and
-// writes, lock/unlock, spawn/join, assertions) to the scheduler over a
-// channel handshake and blocks until the scheduler grants it. Only one
-// goroutine makes progress between scheduling decisions at a visible
-// operation, so the interleaving of visible operations — the only
-// interleaving that matters — is fully controlled and deterministic,
-// even though the Go runtime schedules the goroutines themselves.
+// coroutine (iter.Pull) that announces every visible operation (shared
+// reads and writes, lock/unlock, spawn/join, channel operations,
+// assertions) by yielding it to the scheduler, and resumes only when
+// the scheduler grants it. The scheduler and the thread bodies never
+// run at the same time, so the interleaving of visible operations —
+// the only interleaving that matters — is fully controlled and
+// deterministic, and each visible operation costs two coroutine
+// switches rather than a goroutine handshake.
+//
+// A coroutine switch cannot be abandoned on a timer, so while the
+// stall watchdog is armed (model.MachineConfig.StallTimeout > 0) the
+// machine starts threads through StartStall instead: the same body
+// wrapper runs on its own goroutine and announces each operation over
+// a channel handshake the watchdog can give up on.
 //
 // This is the Go analogue of LAZYLOCKS' Java bytecode instrumentation:
 // the program text stays ordinary Go, and the harness supplies the
@@ -15,11 +22,15 @@
 // Thread bodies must be deterministic: all cross-thread communication
 // must go through the harness (G.Read/G.Write/G.Lock/...), and bodies
 // must not consult ambient nondeterminism (time, maps iteration order,
-// package-level mutable state shared across executions).
+// package-level mutable state shared across executions). A body must
+// not call runtime.Goexit (t.FailNow, for example): on the coroutine
+// path iter.Pull forwards it to the scheduler's goroutine, which it
+// would end.
 package goharness
 
 import (
 	"fmt"
+	"iter"
 	"time"
 
 	"repro/internal/event"
@@ -59,6 +70,7 @@ var (
 	_ model.Source        = (*Program)(nil)
 	_ model.InitStorer    = (*Program)(nil)
 	_ model.ChannelSource = (*Program)(nil)
+	_ model.StallStarter  = (*Program)(nil)
 )
 
 // New returns an empty harness program.
@@ -147,48 +159,148 @@ func (p *Program) InitiallyRunning() []event.ThreadID {
 	return out
 }
 
-// Start implements model.Source: it launches the thread body as a
-// goroutine parked at its first visible operation.
+// Start implements model.Source: it returns the thread body as an
+// iter.Pull coroutine parked before its first visible operation. Each
+// visible operation is one coroutine switch into the body and one
+// back; the body never runs concurrently with the scheduler.
 func (p *Program) Start(t event.ThreadID) model.Coroutine {
-	c := &coroutine{
+	c := &coroutine{}
+	c.next, c.stop = iter.Pull(p.thread(t, &c.g))
+	return c
+}
+
+// StartStall implements model.StallStarter. A coroutine switch cannot
+// be abandoned on a timer, so with the stall watchdog armed the body
+// runs on its own goroutine and announces each visible operation over
+// a channel handshake the watchdog can time out on. The body wrapper
+// is Start's; only the yield function differs.
+func (p *Program) StartStall(t event.ThreadID) model.Coroutine {
+	c := &stallCoroutine{
 		req:   make(chan event.Op),
 		grant: make(chan grant),
 		done:  make(chan struct{}),
 	}
-	body := p.bodies[t]
+	seq := p.thread(t, &c.g)
 	go func() {
 		defer close(c.done)
 		defer close(c.req)
-		defer func() {
-			// Swallow the harness's own abort signal; announce a
-			// genuine panic to the scheduler as the thread's final
-			// visible operation instead of crashing the process —
-			// a crashing schedule is a finding, not a harness
-			// failure.
-			if r := recover(); r != nil {
-				if _, ok := r.(abortSignal); !ok {
-					c.announcePanic(r)
-				}
+		aborted := false
+		seq(func(op event.Op) bool {
+			if aborted {
+				return false
 			}
-		}()
-		body(&G{c: c, id: t})
+			c.req <- op
+			gr := <-c.grant
+			aborted = gr.abort
+			c.g.res = gr.val
+			return !aborted
+		})
 	}()
 	return c
 }
 
+// thread wraps body t as the iterator both start paths run. It yields
+// the body's visible operations; a false yield (the scheduler aborted
+// the thread) unwinds the body with abortSignal at its current
+// operation, and again at every later one should the body swallow the
+// signal. A genuine panic is recovered and announced as the thread's
+// final visible operation instead of crashing the process — a
+// crashing schedule is a finding, not a harness failure.
+func (p *Program) thread(t event.ThreadID, g *G) iter.Seq[event.Op] {
+	body := p.bodies[t]
+	g.id = t
+	return func(yield func(event.Op) bool) {
+		g.yield = yield
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(abortSignal); !ok {
+					g.panicMsg = fmt.Sprint(r)
+					yield(event.Op{Kind: event.KindPanic})
+				}
+			}
+		}()
+		body(g)
+	}
+}
+
 type abortSignal struct{}
+
+// coroutine adapts an iter.Pull pair to the model.Coroutine peek/resume
+// protocol: Peek runs the body to its next visible operation, Resume
+// only stores the result the body reads when that operation's yield
+// returns.
+type coroutine struct {
+	next    func() (event.Op, bool)
+	stop    func()
+	g       G
+	pending event.Op
+	have    bool
+	closed  bool
+}
+
+var (
+	_ model.Abortable     = (*coroutine)(nil)
+	_ model.PanicMessager = (*coroutine)(nil)
+)
+
+// PanicMessage implements model.PanicMessager.
+func (c *coroutine) PanicMessage() string { return c.g.panicMsg }
+
+// Peek implements model.Coroutine. It returns once the body announces
+// its next visible operation or terminates; the wait is bounded by the
+// thread's local computation, never by another thread.
+func (c *coroutine) Peek() (event.Op, bool) {
+	if c.closed {
+		return event.Op{}, false
+	}
+	if c.have {
+		return c.pending, true
+	}
+	op, ok := c.next()
+	if !ok {
+		c.closed = true
+		return event.Op{}, false
+	}
+	c.pending = op
+	c.have = true
+	return op, true
+}
+
+// Resume implements model.Coroutine.
+func (c *coroutine) Resume(result int64) {
+	if !c.have {
+		panic("goharness: Resume without pending operation")
+	}
+	c.have = false
+	c.g.res = result
+}
+
+// Abort implements model.Abortable: it unwinds the body at its current
+// visible operation (a body never peeked never runs at all) and
+// returns once the body has exited, so abandoned executions leak
+// nothing.
+func (c *coroutine) Abort() {
+	if c.closed {
+		return
+	}
+	c.closed = true
+	c.have = false
+	c.stop()
+}
 
 type grant struct {
 	val   int64
 	abort bool
 }
 
-// coroutine adapts the channel handshake to the model.Coroutine
-// peek/resume protocol.
-type coroutine struct {
+// stallCoroutine adapts the channel handshake of StartStall to the
+// model.Coroutine peek/resume protocol, with the watchdog's timed
+// variants of Peek and Abort.
+type stallCoroutine struct {
 	req     chan event.Op
 	grant   chan grant
 	done    chan struct{}
+	g       G
 	pending event.Op
 	have    bool
 	closed  bool
@@ -196,42 +308,28 @@ type coroutine struct {
 	// giving up): the goroutine is stuck in local computation and is
 	// abandoned — never granted, never waited for again. The write
 	// happens on the scheduler side, which is the only side that ever
-	// reads it, so no synchronisation is needed.
+	// reads it, so no synchronisation is needed. If the body later
+	// panics, nobody reads its announcement; the goroutine then parks
+	// on the send forever, which is exactly the abandoned-goroutine
+	// contract divergence already implies.
 	diverged bool
-	// panicMsg is the rendered panic value of a body that panicked,
-	// written before the KindPanic announcement (the channel handshake
-	// orders it before the scheduler reads it).
-	panicMsg string
 }
 
 var (
-	_ model.Abortable     = (*coroutine)(nil)
-	_ model.TimedPeeker   = (*coroutine)(nil)
-	_ model.TimedAborter  = (*coroutine)(nil)
-	_ model.PanicMessager = (*coroutine)(nil)
+	_ model.Abortable     = (*stallCoroutine)(nil)
+	_ model.TimedPeeker   = (*stallCoroutine)(nil)
+	_ model.TimedAborter  = (*stallCoroutine)(nil)
+	_ model.PanicMessager = (*stallCoroutine)(nil)
 )
 
-// announcePanic surfaces a recovered panic value as the thread's final
-// visible operation. It runs on the thread goroutine, inside the
-// recover handler: after the scheduler grants (or aborts) the
-// announcement, the goroutine exits normally and the deferred closes
-// let the next Peek observe termination. If the scheduler has already
-// fenced this thread as diverged, nobody will read the announcement;
-// the goroutine then parks on the send forever, which is exactly the
-// abandoned-goroutine contract divergence already implies.
-func (c *coroutine) announcePanic(r any) {
-	c.panicMsg = fmt.Sprint(r)
-	c.req <- event.Op{Kind: event.KindPanic}
-	<-c.grant
-}
-
-// PanicMessage implements model.PanicMessager.
-func (c *coroutine) PanicMessage() string { return c.panicMsg }
+// PanicMessage implements model.PanicMessager. The body writes the
+// message before the KindPanic announcement, and the channel handshake
+// orders it before the scheduler reads it.
+func (c *stallCoroutine) PanicMessage() string { return c.g.panicMsg }
 
 // Peek implements model.Coroutine. It blocks until the thread goroutine
-// announces its next visible operation or terminates; the wait is
-// bounded by the thread's local computation, never by another thread.
-func (c *coroutine) Peek() (event.Op, bool) {
+// announces its next visible operation or terminates.
+func (c *stallCoroutine) Peek() (event.Op, bool) {
 	if c.closed {
 		return event.Op{}, false
 	}
@@ -256,7 +354,7 @@ func (c *coroutine) Peek() (event.Op, bool) {
 // abandoned mid-computation (it holds no harness resources; it parks
 // on its next announcement, which nobody will ever read) and the
 // sentinel divergence op is announced in its stead.
-func (c *coroutine) PeekTimeout(d time.Duration) (event.Op, bool) {
+func (c *stallCoroutine) PeekTimeout(d time.Duration) (event.Op, bool) {
 	if c.closed {
 		return event.Op{}, false
 	}
@@ -284,7 +382,7 @@ func (c *coroutine) PeekTimeout(d time.Duration) (event.Op, bool) {
 }
 
 // Resume implements model.Coroutine.
-func (c *coroutine) Resume(result int64) {
+func (c *stallCoroutine) Resume(result int64) {
 	if !c.have {
 		panic("goharness: Resume without pending operation")
 	}
@@ -293,9 +391,8 @@ func (c *coroutine) Resume(result int64) {
 }
 
 // Abort implements model.Abortable: it unwinds the thread goroutine at
-// its current visible operation and waits for it to exit, so abandoned
-// executions leak nothing.
-func (c *coroutine) Abort() {
+// its current visible operation and waits for it to exit.
+func (c *stallCoroutine) Abort() {
 	if c.closed || c.diverged {
 		return
 	}
@@ -318,9 +415,10 @@ func (c *coroutine) Abort() {
 
 // AbortTimeout implements model.TimedAborter: Abort, but with d of
 // total wall-clock budget. A body that never reaches its next
-// scheduling point — or swallows the abort with its own recover — is
-// fenced as diverged and abandoned instead of hanging the scheduler.
-func (c *coroutine) AbortTimeout(d time.Duration) {
+// scheduling point — or swallows every abort with its own recover and
+// keeps computing — is fenced as diverged and abandoned instead of
+// hanging the scheduler.
+func (c *stallCoroutine) AbortTimeout(d time.Duration) {
 	if c.closed || c.diverged {
 		return
 	}
@@ -357,20 +455,22 @@ func (c *coroutine) AbortTimeout(d time.Duration) {
 
 // G is the handle a thread body uses for all visible operations.
 type G struct {
-	c  *coroutine
-	id event.ThreadID
+	// yield announces an operation and reports whether the scheduler
+	// granted it; the granted result is then in res.
+	yield    func(event.Op) bool
+	res      int64
+	id       event.ThreadID
+	panicMsg string
 }
 
 // ID returns the thread's identifier.
 func (g *G) ID() event.ThreadID { return g.id }
 
 func (g *G) visible(op event.Op) int64 {
-	g.c.req <- op
-	gr := <-g.c.grant
-	if gr.abort {
+	if !g.yield(op) {
 		panic(abortSignal{})
 	}
-	return gr.val
+	return g.res
 }
 
 // Read returns the current value of v (a visible operation).

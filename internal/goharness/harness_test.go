@@ -82,16 +82,28 @@ func TestSpawnJoin(t *testing.T) {
 }
 
 // TestAbortReleasesGoroutines drives a partial execution, abandons it,
-// and checks the thread goroutines exit rather than leak.
+// and checks the thread coroutines exit rather than leak, on both
+// start paths.
 func TestAbortReleasesGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for i := 0; i < 20; i++ {
-		p := counterProgram(4)
-		m := model.NewMachine(p)
-		m.Step(0) // execute one event, leaving all threads live
-		m.Abort()
+	for _, sp := range startPaths {
+		t.Run(sp.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			for i := 0; i < 20; i++ {
+				p := counterProgram(4)
+				m := model.NewMachineCfg(p, model.MachineConfig{StallTimeout: sp.stall})
+				m.Step(0) // execute one event, leaving all threads live
+				m.Abort()
+			}
+			waitGoroutines(t, before)
+		})
 	}
-	// Give exiting goroutines a moment to unwind.
+}
+
+// waitGoroutines fails t unless the goroutine count settles back to
+// (about) before within two seconds, giving exiting goroutines a
+// moment to unwind.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= before+2 {
@@ -103,8 +115,8 @@ func TestAbortReleasesGoroutines(t *testing.T) {
 }
 
 // TestExplorationOverHarness runs a full DPOR exploration over a
-// goroutine-backed program (replay mode, since goroutines cannot be
-// snapshotted) and compares class counts against the identical progdsl
+// closure program (replay mode, since closures cannot be snapshotted)
+// and compares class counts against the identical progdsl
 // program — the two frontends must induce the same schedule space.
 func TestExplorationOverHarness(t *testing.T) {
 	hp := counterProgram(2)

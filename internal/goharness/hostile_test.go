@@ -1,7 +1,9 @@
 package goharness
 
 import (
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,48 +48,123 @@ func divergeProgram() *Program {
 	return p
 }
 
+// startPaths are the two ways a machine starts harness threads: the
+// default iter.Pull coroutine, and the goroutine handshake the armed
+// stall watchdog selects (a budget no healthy test body comes near).
+var startPaths = []struct {
+	name  string
+	stall time.Duration
+}{
+	{"pull", 0},
+	{"watchdog", 10 * time.Second},
+}
+
 // TestPanicBecomesViolation: a panicking thread body is captured at
 // the harness boundary and surfaces as a panic-kind event and a
 // FailPanic failure — a finding, never a process crash.
 func TestPanicBecomesViolation(t *testing.T) {
-	p := panicProgram()
-	// Schedule t0 first so t1 observes the store and panics.
-	out := exec.Replay(p, []event.ThreadID{0, 1, 1}, exec.Options{})
-	if got := out.ViolationKind(); got != "panic" {
-		t.Fatalf("ViolationKind = %q, want %q (failures: %v)", got, "panic", out.Failures)
-	}
-	if len(out.Failures) != 1 || out.Failures[0].Kind != model.FailPanic {
-		t.Fatalf("failures = %+v, want one FailPanic", out.Failures)
-	}
-	if !strings.Contains(out.Failures[0].Msg, "boom") {
-		t.Fatalf("failure message %q does not carry the panic value", out.Failures[0].Msg)
-	}
-	last := out.Trace[len(out.Trace)-1]
-	if last.Kind != event.KindPanic || last.Thread != 1 {
-		t.Fatalf("last trace event = %+v, want t1 panic", last)
-	}
+	for _, sp := range startPaths {
+		t.Run(sp.name, func(t *testing.T) {
+			p := panicProgram()
+			opt := exec.Options{StallTimeout: sp.stall}
+			// Schedule t0 first so t1 observes the store and panics.
+			out := exec.Replay(p, []event.ThreadID{0, 1, 1}, opt)
+			if got := out.ViolationKind(); got != "panic" {
+				t.Fatalf("ViolationKind = %q, want %q (failures: %v)", got, "panic", out.Failures)
+			}
+			if len(out.Failures) != 1 || out.Failures[0].Kind != model.FailPanic {
+				t.Fatalf("failures = %+v, want one FailPanic", out.Failures)
+			}
+			if !strings.Contains(out.Failures[0].Msg, "boom") {
+				t.Fatalf("failure message %q does not carry the panic value", out.Failures[0].Msg)
+			}
+			last := out.Trace[len(out.Trace)-1]
+			if last.Kind != event.KindPanic || last.Thread != 1 {
+				t.Fatalf("last trace event = %+v, want t1 panic", last)
+			}
 
-	// The schedule where t1 reads first terminates without panicking
-	// (the read/write race on x is still reported, as it should be).
-	clean := exec.Replay(p, []event.ThreadID{1, 1, 0}, exec.Options{})
-	if len(clean.Failures) > 0 || clean.Deadlock {
-		t.Fatalf("read-first schedule failed: %+v deadlock=%v", clean.Failures, clean.Deadlock)
+			// The schedule where t1 reads first terminates without
+			// panicking (the read/write race on x is still reported,
+			// as it should be).
+			clean := exec.Replay(p, []event.ThreadID{1, 1, 0}, opt)
+			if len(clean.Failures) > 0 || clean.Deadlock {
+				t.Fatalf("read-first schedule failed: %+v deadlock=%v", clean.Failures, clean.Deadlock)
+			}
+		})
 	}
 }
 
 // TestPanicMessageDeterministic: the recovered panic value renders
-// identically across replays — it is digested into state signatures.
+// identically across replays and across start paths — it is digested
+// into state signatures.
 func TestPanicMessageDeterministic(t *testing.T) {
 	p := panicProgram()
 	first := exec.Replay(p, []event.ThreadID{0, 1, 1}, exec.Options{})
-	for i := 0; i < 3; i++ {
-		again := exec.Replay(p, []event.ThreadID{0, 1, 1}, exec.Options{})
-		if again.Failures[0].Msg != first.Failures[0].Msg {
-			t.Fatalf("replay %d: panic message %q != %q", i, again.Failures[0].Msg, first.Failures[0].Msg)
-		}
-		if again.StateKey != first.StateKey {
-			t.Fatalf("replay %d: state key diverged", i)
-		}
+	for _, sp := range startPaths {
+		t.Run(sp.name, func(t *testing.T) {
+			for i := 0; i < 3; i++ {
+				again := exec.Replay(p, []event.ThreadID{0, 1, 1}, exec.Options{StallTimeout: sp.stall})
+				if again.Failures[0].Msg != first.Failures[0].Msg {
+					t.Fatalf("replay %d: panic message %q != %q", i, again.Failures[0].Msg, first.Failures[0].Msg)
+				}
+				if again.StateKey != first.StateKey {
+					t.Fatalf("replay %d: state key diverged", i)
+				}
+			}
+		})
+	}
+}
+
+// TestHostileSwallowAbort: a body that recovers the abort signal and
+// makes another visible operation is unwound again at that operation,
+// so Abort still returns with the body exited — on both start paths.
+func TestHostileSwallowAbort(t *testing.T) {
+	starts := []struct {
+		name  string
+		start func(*Program, event.ThreadID) model.Coroutine
+	}{
+		{"pull", (*Program).Start},
+		{"watchdog", (*Program).StartStall},
+	}
+	for _, st := range starts {
+		t.Run(st.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			p := New("swallow-abort").AutoStart()
+			x := p.Var("x")
+			var swallowed, escaped atomic.Bool
+			p.Thread(func(g *G) {
+				func() {
+					defer func() { swallowed.Store(recover() != nil) }()
+					g.Read(x)
+				}()
+				g.Write(x, 2)
+				escaped.Store(true)
+			})
+			c := st.start(p, 0)
+			if op, ok := c.Peek(); !ok || op.Kind != event.KindRead {
+				t.Fatalf("Peek = (%+v, %v), want read", op, ok)
+			}
+			done := make(chan struct{})
+			go func() {
+				c.(model.Abortable).Abort()
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Abort hung on a body that swallowed the abort signal")
+			}
+			if !swallowed.Load() {
+				t.Fatal("the body's recover did not see the abort signal")
+			}
+			if escaped.Load() {
+				t.Fatal("the body ran past its next visible operation after Abort")
+			}
+			if _, ok := c.Peek(); ok {
+				t.Fatal("aborted coroutine still announces an operation")
+			}
+			waitGoroutines(t, before)
+		})
 	}
 }
 
@@ -123,7 +200,7 @@ func TestPeekTimeoutDirect(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	})
-	c := p.Start(0).(*coroutine)
+	c := p.StartStall(0).(*stallCoroutine)
 	op, ok := c.PeekTimeout(20 * time.Millisecond)
 	if !ok || op.Kind != event.KindDiverge {
 		t.Fatalf("PeekTimeout = (%+v, %v), want diverge sentinel", op, ok)
@@ -153,7 +230,7 @@ func TestAbortTimeoutAbandonsStuckBody(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	})
-	c := p.Start(0).(*coroutine)
+	c := p.StartStall(0).(*stallCoroutine)
 	if op, ok := c.Peek(); !ok || op.Kind != event.KindRead {
 		t.Fatalf("Peek = (%+v, %v), want read", op, ok)
 	}

@@ -44,10 +44,11 @@ type Abortable interface {
 }
 
 // TimedPeeker is implemented by coroutines whose Peek can block on
-// genuinely concurrent thread bodies (goharness). PeekTimeout behaves
-// like Peek but gives up after d of wall-clock silence, fencing the
-// coroutine and returning an event.KindDiverge sentinel: the thread is
-// stuck in local computation and will never announce again.
+// genuinely concurrent thread bodies (goharness's StartStall
+// coroutines). PeekTimeout behaves like Peek but gives up after d of
+// wall-clock silence, fencing the coroutine and returning an
+// event.KindDiverge sentinel: the thread is stuck in local computation
+// and will never announce again.
 type TimedPeeker interface {
 	PeekTimeout(d time.Duration) (op event.Op, ok bool)
 }
@@ -58,6 +59,17 @@ type TimedPeeker interface {
 // after d instead of hanging the scheduler.
 type TimedAborter interface {
 	AbortTimeout(d time.Duration)
+}
+
+// StallStarter is optionally implemented by Sources whose default
+// coroutines cannot honour the stall watchdog (goharness runs thread
+// bodies as coroutine switches, which no timer can abandon). While
+// StallTimeout > 0 the machine starts threads through StartStall
+// instead of Source.Start; the coroutine it returns must implement
+// TimedPeeker and TimedAborter and behave exactly like Start's
+// otherwise.
+type StallStarter interface {
+	StartStall(t event.ThreadID) Coroutine
 }
 
 // PanicMessager is implemented by coroutines that announce
@@ -437,7 +449,11 @@ func (m *Machine) startThread(t event.ThreadID) {
 		return
 	}
 	m.status[t] = Running
-	m.cor[t] = m.src.Start(t)
+	if ss, ok := m.src.(StallStarter); ok && m.stall > 0 {
+		m.cor[t] = ss.StartStall(t)
+	} else {
+		m.cor[t] = m.src.Start(t)
+	}
 	m.refresh(t)
 }
 

@@ -205,8 +205,10 @@ func StopAtFirstBug() Option {
 // diverging thread then hangs the search, exactly as before.
 //
 // The watchdog matters only for frontends whose thread bodies run
-// real code on goroutines (goharness); interpreter frontends
-// (progdsl) announce divergence deterministically and need no timer.
+// real code ([Program]); arming it moves their threads from
+// coroutines onto goroutines with a channel handshake, which a timer
+// can abandon. Interpreter frontends (progdsl) announce divergence
+// deterministically and need no timer.
 // Divergence points are memoised, so each distinct stuck point costs
 // the timeout once no matter how many schedules revisit it.
 func WithStallTimeout(d time.Duration) Option {

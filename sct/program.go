@@ -4,15 +4,20 @@ import "repro/internal/goharness"
 
 // Program is a program under test built from ordinary Go closures:
 // declare shared variables, mutexes and threads, then hand it to
-// [Run] (it implements [Source]). Each thread body announces its
-// visible operations through the [G] handle, so the tester fully
-// controls the interleaving of visible operations even though the Go
-// runtime schedules the goroutines themselves.
+// [Run] (it implements [Source]). Each thread runs as a coroutine
+// that announces its visible operations through the [G] handle and
+// resumes only when the tester grants them, so the tester fully
+// controls the interleaving of visible operations. With
+// [WithStallTimeout] armed, threads run as goroutines behind a channel
+// handshake instead, which the watchdog can abandon on a timer; the
+// explored schedules are the same on both paths.
 //
 // Thread bodies must be deterministic: all cross-thread communication
 // goes through the harness (G.Read/G.Write/G.Lock/...), and bodies
 // must not consult ambient nondeterminism (time, map iteration order,
-// mutable package state shared across executions).
+// mutable package state shared across executions). A body must not
+// call runtime.Goexit (t.FailNow, for example): the coroutine would
+// forward it to the caller of Run.
 type Program = goharness.Program
 
 // G is the handle a thread body uses for all visible operations.
