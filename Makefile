@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race ci bench bench-smoke bench-json fuzz-smoke repro-smoke chaos-smoke chan-smoke obs-smoke api-check fmt vet eval
+.PHONY: build test race ci bench bench-smoke bench-json fuzz-smoke repro-smoke chaos-smoke chan-smoke obs-smoke api-check perfbench-check fmt vet eval
 
 build:
 	$(GO) build ./...
@@ -121,7 +121,7 @@ obs-smoke:
 # perf trajectory, rendered as a machine-readable JSON artifact
 # (BENCH_PR<PR>.json and successors; see cmd/benchjson). Set PR to the
 # current PR number: make bench-json PR=4.
-PR ?= 10
+PR ?= 13
 BENCH_JSON ?= BENCH_PR$(PR).json
 BENCH_FILTER ?= BenchmarkTracker$$|BenchmarkVClock/|BenchmarkExecutor$$|BenchmarkEngine/|BenchmarkSnapshotVsReplay/|BenchmarkWorkStealDPOR/|BenchmarkFirstBug/|BenchmarkBacktrackAllocs/|BenchmarkObserverOverhead/
 # Two steps (not a pipe) so a failing benchmark run fails the target
@@ -152,6 +152,13 @@ api-check:
 	$(GO) test -run '^Example' -count=1 ./sct/ ./internal/...
 	$(GO) test -run '^TestEnginesDocInSync$$|^TestObservabilityDocInSync$$|^TestChannelDocInSync$$' -count=1 ./sct/
 	@echo "api-check: facade clean"
+
+# The benchmark harness is its own Go module (perfbench/go.mod), so the
+# root `go test ./...` never compiles it — the CI perfbench job. Vetting
+# and testing it here catches a facade change that breaks the
+# benchmark before the benchmark run does.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Regenerate the paper figures at the full budget (slow; see -help for
 # -bench/-family filters, -fig campaign -json for streaming results).

@@ -309,12 +309,11 @@ func BenchmarkParallelExplore(b *testing.B) {
 }
 
 // BenchmarkWorkStealDPOR is the headline artifact of the work-stealing
-// engine: one exhaustible benchmark explored by sequential DPOR, the
-// static-partition parallel DPOR it replaces, and the work-stealing
-// engine at 1–8 workers. The schedules metric shows the reduction —
-// the static partition over-explores (schedules > sequential), the
-// work-stealing engine matches sequential DPOR exactly at every worker
-// count — while ns/op shows the wall-clock scaling.
+// engine: one exhaustible benchmark explored by sequential DPOR and by
+// the work-stealing engine at 1–8 workers. The schedules metric shows
+// the reduction — the work-stealing engine matches sequential DPOR
+// exactly at every worker count — while ns/op shows the wall-clock
+// scaling.
 func BenchmarkWorkStealDPOR(b *testing.B) {
 	bm := mustBench(b, "synth-10")
 	opt := explore.Options{MaxSteps: 2000}
@@ -322,13 +321,6 @@ func BenchmarkWorkStealDPOR(b *testing.B) {
 		var last explore.Result
 		for i := 0; i < b.N; i++ {
 			last = explore.NewDPOR(false).Explore(bm.Program, opt)
-		}
-		b.ReportMetric(float64(last.Schedules), "schedules")
-	})
-	b.Run("pdpor-static-workers=4", func(b *testing.B) {
-		var last explore.Result
-		for i := 0; i < b.N; i++ {
-			last = campaign.ParallelDPORStatic(bm.Program, opt, 4)
 		}
 		b.ReportMetric(float64(last.Schedules), "schedules")
 	})
@@ -351,7 +343,7 @@ func BenchmarkWorkStealDPOR(b *testing.B) {
 // a bench-smoke gate: with the undo backend, the stack engines'
 // tracker+machine allocations per explored event must stay constant
 // (~2; a reintroduced per-step tracker Clone costs ≥3 slab copies per
-// event and the legacy deep-snapshot backend measures ~20). The
+// event and a deep machine snapshot per step measures ~20). The
 // benchmark fails — not just reports — when the bound is exceeded,
 // so the regression cannot silently return. Runs in one iteration
 // under `make bench-smoke`.
@@ -443,9 +435,8 @@ func BenchmarkObserverOverhead(b *testing.B) {
 }
 
 // BenchmarkSnapshotVsReplay measures the exploration-backend ablation:
-// the default undo-log backend ("snapshot", name kept stable across
-// the perf trajectory) against the legacy deep-snapshot backend and
-// full replay.
+// the undo-log backend ("snapshot", name kept stable across the perf
+// trajectory) against full replay.
 func BenchmarkSnapshotVsReplay(b *testing.B) {
 	bm := mustBench(b, "counter-racy-2x2")
 	for _, mode := range []struct {
@@ -453,7 +444,6 @@ func BenchmarkSnapshotVsReplay(b *testing.B) {
 		backend explore.BackendKind
 	}{
 		{"snapshot", explore.BackendUndo},
-		{"legacy-snapshot", explore.BackendSnapshot},
 		{"replay", explore.BackendReplay},
 	} {
 		mode := mode

@@ -187,7 +187,7 @@ func TestEngineSpecGrammar(t *testing.T) {
 		"dfs", "dpor", "dpor+sleep", "lazy-dpor", "hbr-caching", "lazy-hbr-caching",
 		"random", "random:9", "pct:3", "pct:2:9", "pos", "pos:9",
 		"pb:2", "pb:1:hbr", "pb:1:lazy", "db:3",
-		"chess-pb:2", "chess-db:2", "pdfs", "pdfs:4", "pdpor:2", "pdpor-static:2", "prandom:5:2",
+		"chess-pb:2", "chess-db:2", "pdfs", "pdfs:4", "pdpor:2", "prandom:5:2",
 	}
 	for _, s := range good {
 		if _, err := EngineSpec(s).Build(); err != nil {

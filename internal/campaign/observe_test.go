@@ -22,23 +22,63 @@ import (
 // observer and a flight recorder) yields a Result byte-identical to a
 // bare run, and the final counters agree with the Result. Steal stats
 // are zeroed before comparison — work distribution is timing-dependent
-// by design, with or without telemetry.
+// by design, with or without telemetry. The "auto" case runs the search
+// as a campaign cell, whose Options name no backend — the cursor
+// derives it from the program — under the Runner's own telemetry
+// (tight-cadence heartbeats and a flight directory).
 func TestObserverDoesNotPerturbResults(t *testing.T) {
-	backends := []explore.BackendKind{
-		explore.BackendAuto, explore.BackendUndo, explore.BackendSnapshot, explore.BackendReplay,
-	}
+	backends := []explore.BackendKind{explore.BackendUndo, explore.BackendReplay}
 	for _, spec := range engines.DefaultGrid() {
+		// Sequential engines get a racy program under a limit;
+		// parallel ones exhaust a tiny bug-free space so the merged
+		// Result is independent of worker timing.
+		name, limit := "counter-racy-2x2", 400
+		if strings.HasPrefix(spec, "pdpor") {
+			name, limit = "coarse-shared-2", 0
+		}
+		spec := spec
+		t.Run(spec+"/auto", func(t *testing.T) {
+			t.Parallel()
+			cells := []Cell{{Bench: name, Engine: EngineSpec(spec), ScheduleLimit: limit, MaxSteps: 2000}}
+			run := func(r Runner) (explore.Result, []Heartbeat) {
+				var mu sync.Mutex
+				var beats []Heartbeat
+				if r.HeartbeatEvery > 0 {
+					r.OnHeartbeat = func(h Heartbeat) {
+						mu.Lock()
+						beats = append(beats, h)
+						mu.Unlock()
+					}
+				}
+				results, err := r.Run(context.Background(), cells)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := FirstError(results); err != nil {
+					t.Fatal(err)
+				}
+				return results[0].Result, beats
+			}
+			plain, _ := run(Runner{Workers: 1})
+			dir := t.TempDir()
+			observed, beats := run(Runner{Workers: 1, HeartbeatEvery: time.Millisecond, FlightDir: dir})
+			plain.Steal, observed.Steal = nil, nil
+			if !reflect.DeepEqual(plain, observed) {
+				t.Errorf("telemetry perturbed the result:\n bare=%+v\n observed=%+v", plain, observed)
+			}
+			for _, h := range beats {
+				if h.Schedules > int64(observed.Schedules) || h.Events > observed.Events {
+					t.Errorf("heartbeat %+v ran ahead of the final Result %+v", h, observed)
+				}
+			}
+			if arts, _ := filepath.Glob(filepath.Join(dir, "*")); len(arts) != 0 {
+				t.Errorf("healthy cell dumped flight artifacts: %v", arts)
+			}
+		})
 		for _, backend := range backends {
-			spec, backend := spec, backend
+			backend := backend
 			t.Run(spec+"/"+backend.String(), func(t *testing.T) {
 				t.Parallel()
-				// Sequential engines get a racy program under a limit;
-				// parallel ones exhaust a tiny bug-free space so the
-				// merged Result is independent of worker timing.
-				name, limit := "counter-racy-2x2", 400
-				if strings.HasPrefix(spec, "pdpor") {
-					name, limit = "coarse-shared-2", 0
-				}
 				bm, ok := bench.ByName(name)
 				if !ok {
 					t.Fatalf("missing benchmark %s", name)

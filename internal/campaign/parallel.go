@@ -13,11 +13,11 @@
 //   - ParallelRandomWalk matches sequential NewRandomWalk byte for
 //     byte on all counters: walk i is seeded from (seed, i), so the
 //     fan-out executes exactly the same multiset of walks.
-//   - ParallelDPOR explores the top of the tree exhaustively (the
-//     partition layer) and runs full DPOR beneath every unit, so its
-//     distinct-coverage counters (#HBRs, #lazy HBRs, #states) equal
-//     sequential DPOR's; #schedules is ≥ the sequential count because
-//     no reduction is applied across the partition layer itself.
+//   - ParallelDPOR runs one work-stealing DPOR search across the
+//     workers (steal.go): with SleepSets off every counter except
+//     Events, #schedules included, equals sequential DPOR's; with
+//     SleepSets the coverage counters (#HBRs, #lazy HBRs, #states)
+//     stay exact.
 //
 // With a schedule limit, the shared explore.Budget is honoured to
 // within workers−1 schedules, but which schedules run first depends on
@@ -170,12 +170,12 @@ func runUnits(workers, n int, run func(i int) explore.Result) []explore.Result {
 	return out
 }
 
-// subtreeSearch partitions src's schedule tree and explores every
-// subtree with mk-built engines sharing one dedup and budget. (The
-// DFS and DPOR engines run here don't prune by fingerprint cache;
-// explorations of the caching engines can share an
-// explore.ShardedCache through Options.Cache the same way.)
-func subtreeSearch(name string, mk func() explore.Engine, src model.Source, opt explore.Options, workers int) explore.Result {
+// ParallelDFS explores src's full schedule space with exhaustive DFS
+// fanned across workers (≤0 means GOMAXPROCS): the schedule tree is
+// partitioned into disjoint subtrees explored by DFS engines sharing
+// one dedup and budget. On exhausted spaces every counter except
+// Events matches sequential explore.NewDFS.
+func ParallelDFS(src model.Source, opt explore.Options, workers int) explore.Result {
 	workers = normWorkers(workers)
 	dedup := explore.NewDedup()
 	budget := explore.NewBudget(opt.ScheduleLimit)
@@ -202,21 +202,13 @@ func subtreeSearch(name string, mk func() explore.Engine, src model.Source, opt 
 		}
 		o := unitOpt
 		o.Prefix = prefixes[i]
-		res := mk().Explore(src, o)
+		res := explore.NewDFS().Explore(src, o)
 		if opt.StopAtFirstBug && res.FirstViolation != nil {
 			bugFound.Store(true)
 		}
 		return res
 	})
-	return mergeUnits(name, src, opt, dedup, units)
-}
-
-// ParallelDFS explores src's full schedule space with exhaustive DFS
-// fanned across workers (≤0 means GOMAXPROCS). On exhausted spaces
-// every counter except Events matches sequential explore.NewDFS.
-func ParallelDFS(src model.Source, opt explore.Options, workers int) explore.Result {
-	return subtreeSearch(fmt.Sprintf("pdfs[%d]", normWorkers(workers)),
-		explore.NewDFS, src, opt, workers)
+	return mergeUnits(fmt.Sprintf("pdfs[%d]", workers), src, opt, dedup, units)
 }
 
 // ParallelDPOR explores src with work-stealing DPOR: one DPOR search
@@ -226,10 +218,10 @@ func ParallelDFS(src model.Source, opt explore.Options, workers int) explore.Res
 // partial-order reduction survives the fan-out. On exhausted spaces
 // with SleepSets off, every counter except Events — including
 // #schedules — is byte-identical to sequential explore.NewDPOR for
-// every backend and worker count. With SleepSets the coverage counters
-// (#HBRs/#lazy HBRs/#states) remain exact while #schedules and
-// #sleep-blocked depend on unit boundaries. Result.Steal carries the
-// worker/unit statistics.
+// either backend and every worker count. With SleepSets the coverage
+// counters (#HBRs/#lazy HBRs/#states) remain exact while #schedules
+// and #sleep-blocked depend on unit boundaries. Result.Steal carries
+// the worker/unit statistics.
 func ParallelDPOR(src model.Source, opt explore.Options, workers int) explore.Result {
 	workers = normWorkers(workers)
 	outcomes, dedup, stats := workStealDPOR(src, opt, workers)
@@ -241,17 +233,6 @@ func ParallelDPOR(src model.Source, opt explore.Options, workers int) explore.Re
 	res := mergeUnits(fmt.Sprintf("pdpor[%d]", workers), src, opt, dedup, units)
 	res.Steal = &stats
 	return res
-}
-
-// ParallelDPORStatic is the pre-work-stealing parallel DPOR: full DPOR
-// beneath an exhaustively partitioned top layer. Its distinct-coverage
-// counters match sequential DPOR but #schedules is ≥ the sequential
-// count — the partition layer itself applies no reduction. Kept as the
-// ablation baseline the work-stealing engine is measured against.
-func ParallelDPORStatic(src model.Source, opt explore.Options, workers int) explore.Result {
-	sleep := opt.SleepSets
-	return subtreeSearch(fmt.Sprintf("pdpor-static[%d]", normWorkers(workers)),
-		func() explore.Engine { return explore.NewDPOR(sleep) }, src, opt, workers)
 }
 
 // randomChunk is how many walk indices a worker claims at a time.
@@ -272,7 +253,7 @@ func ParallelRandomWalk(seed int64, src model.Source, opt explore.Options, worke
 	unitOpt.ScheduleLimit = 0
 	unitOpt.Dedup = dedup
 
-	// The same found-flag drain as subtreeSearch: under StopAtFirstBug,
+	// The same found-flag drain as ParallelDFS: under StopAtFirstBug,
 	// walk chunks that have not started yet become no-ops once any
 	// chunk found a violation.
 	var bugFound atomic.Bool
@@ -324,12 +305,6 @@ func NewParallelDPOR(workers int) explore.Engine {
 	return &parallelEngine{kind: "pdpor", workers: workers}
 }
 
-// NewParallelDPORStatic returns the static-partition baseline
-// ParallelDPORStatic as an explore.Engine.
-func NewParallelDPORStatic(workers int) explore.Engine {
-	return &parallelEngine{kind: "pdpor-static", workers: workers}
-}
-
 // NewParallelRandomWalk returns ParallelRandomWalk as an
 // explore.Engine.
 func NewParallelRandomWalk(seed int64, workers int) explore.Engine {
@@ -346,8 +321,6 @@ func (e *parallelEngine) Explore(src model.Source, opt explore.Options) explore.
 	switch e.kind {
 	case "pdpor":
 		return ParallelDPOR(src, opt, e.workers)
-	case "pdpor-static":
-		return ParallelDPORStatic(src, opt, e.workers)
 	case "prandom":
 		return ParallelRandomWalk(e.seed, src, opt, e.workers)
 	default:

@@ -141,12 +141,9 @@ func assertExact(t *testing.T, workers int, seq, par explore.Result, compareStat
 // TestParallelBackendAblation: the exploration-backend choice is
 // invisible to the parallel searches too — parallel DFS and parallel
 // random walk must match their sequential counterparts on every
-// counter under the undo-log, legacy-snapshot and replay backends
-// alike.
+// counter under the undo-log and replay backends alike.
 func TestParallelBackendAblation(t *testing.T) {
-	backends := []explore.BackendKind{
-		explore.BackendUndo, explore.BackendSnapshot, explore.BackendReplay,
-	}
+	backends := []explore.BackendKind{explore.BackendUndo, explore.BackendReplay}
 	for _, name := range []string{"counter-racy-2x2", "philosophers-3"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -273,7 +270,6 @@ func TestStaticPartitionFirstBugDrain(t *testing.T) {
 		run  func() explore.Result
 	}{
 		{"pdfs", func() explore.Result { return ParallelDFS(bm.Program, stop, workers) }},
-		{"pdpor-static", func() explore.Result { return ParallelDPORStatic(bm.Program, stop, workers) }},
 		{"prandom", func() explore.Result {
 			o := stop
 			o.ScheduleLimit = 50000

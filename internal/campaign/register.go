@@ -35,17 +35,6 @@ func init() {
 		},
 	})
 	engines.Register(engines.Info{
-		Name: "pdpor-static", Usage: "pdpor-static[:W]", Parallel: true,
-		Summary: "static-partition parallel DPOR (work-stealing ablation baseline)",
-		Build: func(argv []string) (explore.Engine, error) {
-			w, err := engines.IntArg(argv, 0, 0)
-			if err != nil {
-				return nil, err
-			}
-			return NewParallelDPORStatic(w), nil
-		},
-	})
-	engines.Register(engines.Info{
 		Name: "prandom", Usage: "prandom[:seed[:W]]", Parallel: true,
 		Summary: "parallel seeded random walk",
 		Build: func(argv []string) (explore.Engine, error) {

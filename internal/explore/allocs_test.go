@@ -12,7 +12,7 @@ import (
 // over the walk); any per-step tracker snapshot work — the
 // tr.Clone() the undo backend used to pay on every retained step —
 // is ≥3 slab copies per event and blows straight past these bounds
-// (the legacy deep-snapshot backend measures ~20 allocs/event).
+// (a deep machine snapshot per step measures ~20 allocs/event).
 const (
 	samplerAllocsPerEvent = 3.0
 	stackAllocsPerEvent   = 4.0
@@ -58,9 +58,9 @@ func TestSamplerAllocsStraightLine(t *testing.T) {
 // TestBacktrackAllocsO1 pins the tentpole: with the undo backend the
 // whole (machine, tracker) pair backtracks in O(1), so the stack
 // engines' allocations per explored event stay constant — no
-// tr.Clone() per retained step. The legacy deep-snapshot backend
-// pays ~10× this bound per event, so the old per-step-Clone code
-// path cannot silently return.
+// tr.Clone() per retained step. Deep per-step snapshots cost ~10×
+// this bound per event, so the old per-step-Clone code path cannot
+// silently return.
 func TestBacktrackAllocsO1(t *testing.T) {
 	opt := Options{ScheduleLimit: 500, MaxSteps: 2000, Backend: BackendUndo}
 	for _, eng := range []Engine{NewDFS(), NewDPOR(false), NewDPOR(true)} {

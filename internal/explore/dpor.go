@@ -395,16 +395,8 @@ func (e *dporEngine) Explore(src model.Source, opt Options) Result {
 	// cursor still sits at (or above) depth d — the Steal coordinator
 	// calls makers synchronously inside Escape/Publish, never later.
 	seedAt := func(d int) func() *hb.Tracker {
-		switch c.backend {
-		case BackendUndo:
-			if m := d - c.trBase; m >= 0 && m <= c.tr.UndoMark() {
-				return func() *hb.Tracker { return c.tr.CloneTo(m) }
-			}
-		case BackendSnapshot:
-			if d < len(c.snaps) && c.snaps[d].tr != nil {
-				tr := c.snaps[d].tr
-				return func() *hb.Tracker { return tr.Clone() }
-			}
+		if m := d - c.trBase; c.backend == BackendUndo && m >= 0 && m <= c.tr.UndoMark() {
+			return func() *hb.Tracker { return c.tr.CloneTo(m) }
 		}
 		return nil
 	}

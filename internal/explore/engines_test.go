@@ -182,15 +182,16 @@ func TestScheduleLimitHonoured(t *testing.T) {
 	}
 }
 
-// TestReplayVsSnapshotIdentical: disabling snapshots must not change
-// any count on any engine (the ablation knob is purely mechanical).
+// TestReplayVsSnapshotIdentical: forcing replay instead of the
+// snapshot-based undo log must not change any count on any engine
+// (the ablation knob is purely mechanical).
 func TestReplayVsSnapshotIdentical(t *testing.T) {
 	for _, src := range soundnessZoo()[:10] {
 		src := src
 		t.Run(src.Name(), func(t *testing.T) {
 			for _, eng := range []Engine{NewDFS(), NewDPOR(false), NewLazyHBRCache()} {
 				snap := eng.Explore(src, Options{MaxSteps: 2000})
-				repl := eng.Explore(src, Options{MaxSteps: 2000, DisableSnapshots: true})
+				repl := eng.Explore(src, Options{MaxSteps: 2000, Backend: BackendReplay})
 				if snap.Schedules != repl.Schedules ||
 					snap.DistinctHBRs != repl.DistinctHBRs ||
 					snap.DistinctLazyHBRs != repl.DistinctLazyHBRs ||

@@ -338,14 +338,10 @@ func countersOf(r Result) ablationCounters {
 }
 
 // TestBackendAblationExact is the exactness contract of the
-// copy-on-write exploration backend: for every engine and every zoo
-// program, the undo-log backend (machine + tracker undo logs), the
-// legacy deep-snapshot backend, pure replay (the DisableSnapshots
-// ablation mode) and the adaptive auto backend must report
-// byte-identical Result counters — including the first-bug schedule.
-// Between the two non-replay backends even the Events total must match
-// (neither re-executes a prefix); auto is exempt from that one check
-// because it may settle on replay mid-run.
+// exploration backends: for every engine and every zoo program, the
+// undo-log backend (machine + tracker undo logs) and pure replay must
+// report byte-identical Result counters — including the first-bug
+// schedule.
 func TestBackendAblationExact(t *testing.T) {
 	engines := []struct {
 		eng   Engine
@@ -370,23 +366,9 @@ func TestBackendAblationExact(t *testing.T) {
 					return Options{MaxSteps: 2000, ScheduleLimit: e.limit, Backend: b}
 				}
 				undo := e.eng.Explore(src, mkOpt(BackendUndo))
-				snap := e.eng.Explore(src, mkOpt(BackendSnapshot))
 				repl := e.eng.Explore(src, mkOpt(BackendReplay))
-				if got, want := countersOf(undo), countersOf(snap); got != want {
-					t.Errorf("%s: undo and snapshot backends disagree:\n undo=%+v\n snap=%+v",
-						e.eng.Name(), got, want)
-				}
-				if undo.Events != snap.Events {
-					t.Errorf("%s: undo executed %d events, snapshot %d (neither replays)",
-						e.eng.Name(), undo.Events, snap.Events)
-				}
 				if got, want := countersOf(undo), countersOf(repl); got != want {
 					t.Errorf("%s: undo and replay backends disagree:\n undo=%+v\n repl=%+v",
-						e.eng.Name(), got, want)
-				}
-				auto := e.eng.Explore(src, mkOpt(BackendAuto))
-				if got, want := countersOf(auto), countersOf(undo); got != want {
-					t.Errorf("%s: auto backend disagrees with undo:\n auto=%+v\n undo=%+v",
 						e.eng.Name(), got, want)
 				}
 			}
@@ -394,83 +376,36 @@ func TestBackendAblationExact(t *testing.T) {
 	}
 }
 
-// TestBackendResolution pins the backend-selection rules: auto starts
-// on the undo log for snapshottable programs (and stays free to settle
-// on replay adaptively), DisableSnapshots forces replay and takes
-// precedence over any explicit Backend, and explicit requests are
-// honoured.
+// TestBackendResolution pins the one backtracking rule: the undo log
+// when every live thread can snapshot, replay otherwise — and replay
+// for root sampler walks, which never backtrack mid-execution. An
+// explicit BackendReplay (the ablation oracles' knob) is honoured; an
+// out-of-range kind fails loudly (TestUnknownBackendFailsLoudly).
 func TestBackendResolution(t *testing.T) {
-	src := curatedFigure1()
+	dsl := curatedFigure1()
+	gh := buildHarnessVariant("resolution", 2, true, true)
+	root := func(src model.Source, opt Options) func() *cursor {
+		return func() *cursor { return newCursor(src, opt) }
+	}
 	for _, tc := range []struct {
-		opt  Options
+		name string
+		mk   func() *cursor
 		want BackendKind
-		auto bool // BackendAuto measurement still pending
 	}{
-		{Options{}, BackendUndo, true},
-		{Options{Backend: BackendUndo}, BackendUndo, false},
-		{Options{Backend: BackendSnapshot}, BackendSnapshot, false},
-		{Options{Backend: BackendReplay}, BackendReplay, false},
-		{Options{DisableSnapshots: true}, BackendReplay, false},
-		{Options{DisableSnapshots: true, Backend: BackendUndo}, BackendReplay, false},
-		{Options{DisableSnapshots: true, Backend: BackendSnapshot}, BackendReplay, false},
-		// Subtree searches and work-steal workers keep the undo
-		// backend without adapting, so seed export stays uniform.
-		{Options{Prefix: []event.ThreadID{0}}, BackendUndo, false},
+		{"snapshottable root search", root(dsl, Options{}), BackendUndo},
+		{"goharness program", root(gh, Options{}), BackendReplay},
+		{"explicit replay", root(dsl, Options{Backend: BackendReplay}), BackendReplay},
+		{"root walk", func() *cursor { return newWalkCursor(dsl, Options{}) }, BackendReplay},
+		{"walk under a prefix", func() *cursor {
+			return newWalkCursor(dsl, Options{Prefix: []event.ThreadID{0}})
+		}, BackendUndo},
 	} {
-		c := newCursor(src, tc.opt)
+		c := tc.mk()
 		if c.backend != tc.want {
-			t.Errorf("options %+v resolved to backend %v, want %v", tc.opt, c.backend, tc.want)
-		}
-		if c.autoPending != tc.auto {
-			t.Errorf("options %+v: autoPending %v, want %v", tc.opt, c.autoPending, tc.auto)
+			t.Errorf("%s: resolved to backend %v, want %v", tc.name, c.backend, tc.want)
 		}
 		c.close()
 	}
-}
-
-// TestAutoBackendAdapts drives the two backtrack shapes through a
-// BackendAuto cursor: sampler-style resets to the root make replay the
-// winner (nothing retained to re-execute, so undo's per-step logging
-// is pure overhead), while DFS-style frontier pops keep the undo log
-// (replay would re-execute almost the whole schedule per pop). Either
-// way the measurement phase ends after autoProbeResets.
-func TestAutoBackendAdapts(t *testing.T) {
-	src := curatedSharedCounter()
-	walkToEnd := func(c *cursor) {
-		for {
-			en := c.enabled()
-			if len(en) == 0 || c.truncated() {
-				return
-			}
-			c.step(en[0])
-		}
-	}
-
-	c := newCursor(src, Options{MaxSteps: 2000})
-	if !c.autoPending {
-		t.Fatalf("auto cursor not in measurement phase")
-	}
-	for i := 0; i < autoProbeResets; i++ {
-		walkToEnd(c)
-		c.resetTo(0)
-	}
-	if c.autoPending || c.backend != BackendReplay {
-		t.Errorf("straight-line resets: backend %v (pending %v), want replay",
-			c.backend, c.autoPending)
-	}
-	walkToEnd(c) // still explores fine after the switch
-	c.close()
-
-	c = newCursor(src, Options{MaxSteps: 2000})
-	for i := 0; i < autoProbeResets; i++ {
-		walkToEnd(c)
-		c.resetTo(c.depth() - 1)
-	}
-	if c.autoPending || c.backend != BackendUndo {
-		t.Errorf("frontier pops: backend %v (pending %v), want undo",
-			c.backend, c.autoPending)
-	}
-	c.close()
 }
 
 // TestLazyNeverCoarserThanStates double-checks the paper's central

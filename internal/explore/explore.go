@@ -42,14 +42,11 @@ type Options struct {
 	// (exec.DefaultMaxSteps if 0); executions hitting the bound are
 	// counted as truncated.
 	MaxSteps int
-	// DisableSnapshots forces replay-based backtracking even for
-	// snapshotable programs (ablation knob; shorthand for
-	// Backend == BackendReplay).
-	DisableSnapshots bool
 	// Backend selects the cursor's backtracking implementation; see
-	// BackendKind. All backends are observationally identical — the
-	// ablation tests assert byte-identical Result counters — so the
-	// zero value (fastest supported) is right outside ablations.
+	// BackendKind. Both backends are observationally identical — the
+	// ablation tests assert byte-identical Result counters — so only
+	// those ablation oracles set it; the zero value derives the
+	// backend from the program.
 	Backend BackendKind
 	// SleepSets enables sleep sets in the DPOR engine.
 	SleepSets bool
@@ -204,58 +201,37 @@ func (o Options) Validate() error {
 type BackendKind uint8
 
 const (
-	// BackendAuto picks the fastest supported backend adaptively:
-	// replay for programs that cannot snapshot, the undo log
-	// otherwise — except that the cursor measures the first few
-	// schedules' backtrack shape (reset depth vs rewind distance) and
-	// settles on replay when re-executing the short retained prefixes
-	// is cheaper than paying per-step undo logging (see autoObserve).
-	// Straight-line samplers skip the measurement and use replay
-	// outright. All backends are observationally identical, so the
-	// choice never changes a Result.
-	BackendAuto BackendKind = iota
-	// BackendUndo rewinds the (machine, tracker) pair through their
-	// O(1)-per-step undo logs — no per-step copying at all. Requires
-	// snapshottable coroutines; falls back to replay otherwise.
-	BackendUndo
-	// BackendSnapshot is the legacy backend: a deep machine snapshot
-	// stored at every depth (ablation baseline). Requires
-	// snapshottable coroutines; falls back to replay otherwise.
-	BackendSnapshot
+	// BackendUndo, the zero value, rewinds the (machine, tracker) pair
+	// through their O(1)-per-step undo logs — no per-step copying at
+	// all — whenever every live thread can snapshot. Programs that
+	// cannot (Go-closure goharness ones) fall back to replay, so the
+	// zero value is the one backtracking rule: undo when possible,
+	// replay otherwise.
+	BackendUndo BackendKind = iota
 	// BackendReplay re-executes the retained prefix from the initial
-	// state on every backtrack. Works for every program, including
-	// Go-closure (goharness) ones that cannot snapshot.
+	// state on every backtrack. Works for every program; root sampler
+	// walks use it outright (see newWalkCursor).
 	BackendReplay
 )
 
 // String names the backend.
 func (b BackendKind) String() string {
 	switch b {
-	case BackendAuto:
-		return "auto"
 	case BackendUndo:
 		return "undo"
-	case BackendSnapshot:
-		return "snapshot"
 	case BackendReplay:
 		return "replay"
 	}
 	return fmt.Sprintf("backend(%d)", uint8(b))
 }
 
-// backend resolves the requested backend, honouring the legacy
-// DisableSnapshots spelling (which takes precedence over an explicit
-// Backend). BackendAuto resolves to itself: the cursor owns the
-// adaptive choice. Unknown kinds panic — Options.Validate rejects
-// them, and an engine built from unvalidated options must fail loudly
-// rather than silently explore under a different backend than the
-// ablation asked for.
+// backend returns the requested backend. Unknown kinds panic —
+// Options.Validate rejects them, and an engine built from unvalidated
+// options must fail loudly rather than silently explore under a
+// different backend than the ablation asked for.
 func (o Options) backend() BackendKind {
-	if o.DisableSnapshots {
-		return BackendReplay
-	}
 	switch o.Backend {
-	case BackendAuto, BackendUndo, BackendSnapshot, BackendReplay:
+	case BackendUndo, BackendReplay:
 		return o.Backend
 	}
 	panic(fmt.Sprintf("explore: unknown backend %q (Options.Validate rejects it)", o.Backend))
@@ -415,9 +391,9 @@ type recorder struct {
 	opt   Options
 	dedup dedupSink
 	// cur is the engine's cursor, read by telemetry flushes (events,
-	// backtracks, choices, resolved backend); tel is nil unless
-	// Options armed Counters, an Observer or a FlightRecorder — that
-	// nil check is the telemetry layer's entire disabled-path cost.
+	// backtracks, choices); tel is nil unless Options armed Counters,
+	// an Observer or a FlightRecorder — that nil check is the
+	// telemetry layer's entire disabled-path cost.
 	cur *cursor
 	tel *telemetry
 }
@@ -427,12 +403,18 @@ func newRecorder(src model.Source, engine string, opt Options, c *cursor) *recor
 	if opt.Dedup == nil {
 		dd = newLocalDedup()
 	}
+	tel := newTelemetry(opt, src.Name(), engine)
+	if tel != nil && tel.ctr != nil {
+		// The cursor resolved its backend when it was built; latch it
+		// now so every snapshot of the search names it.
+		tel.ctr.setBackend(c.backend)
+	}
 	return &recorder{
 		res:   Result{Program: src.Name(), Engine: engine},
 		opt:   opt,
 		dedup: dd,
 		cur:   c,
-		tel:   newTelemetry(opt, src.Name(), engine),
+		tel:   tel,
 	}
 }
 
@@ -592,23 +574,16 @@ func (r *recorder) finish(c *cursor) Result {
 	return r.res
 }
 
-// snapPair is one stored exploration snapshot (legacy backend).
-type snapPair struct {
-	m  *model.Machine
-	tr *hb.Tracker
-}
-
 // cursor is the engines' shared execution walker: it maintains one live
 // execution (machine + happens-before tracker + trace) and supports
-// truncation to an earlier depth. Three backends implement the
+// truncation to an earlier depth. Two backends implement the
 // truncation (see BackendKind): the paired machine and tracker undo
-// logs (the default — O(1) per backtracked step, nothing copied per
-// forward step), legacy deep per-step snapshots, and deterministic
-// replay for programs that cannot snapshot.
+// logs (O(1) per backtracked step, nothing copied per forward step),
+// and deterministic replay for programs that cannot snapshot.
 type cursor struct {
 	src      model.Source
 	maxSteps int
-	backend  BackendKind // resolved: never BackendAuto
+	backend  BackendKind // resolved once, when the cursor is built
 	// mcfg carries the fault-containment machine knobs (stall
 	// watchdog, shared divergence hints) to every machine this cursor
 	// builds — including the fresh machines of replay-backend resets,
@@ -627,25 +602,11 @@ type cursor struct {
 	// pinned prefix, so marks never go negative.
 	trBase int
 
-	// snaps[d] is the deep snapshot at depth d (legacy backend);
-	// depths covered by a shipped tracker seed hold zero placeholders,
-	// which engines never reset to (they stay above their prefix) and
-	// seed export treats as "unavailable".
-	snaps []snapPair
-
 	// seed is the shipped tracker installed once the replayed prefix
 	// reaches seedDepth events; until then step skips all
 	// happens-before work (see Options.TrackerSeed).
 	seed      *hb.Tracker
 	seedDepth int
-
-	// BackendAuto measurement state: the cursor starts on the undo
-	// backend and autoObserve accumulates per-reset cost estimates for
-	// undo vs replay over the first few schedules, then locks in the
-	// cheaper one (autoPending becomes false either way).
-	autoPending            bool
-	autoResets             int
-	autoUndoC, autoReplayC int
 
 	enabledBuf []event.ThreadID
 	events     int64
@@ -661,34 +622,17 @@ func newCursor(src model.Source, opt Options) *cursor {
 	if mcfg.StallTimeout > 0 {
 		mcfg.Hints = model.NewDivergeHints()
 	}
-	resolved := opt.backend()
-	auto := false
-	if resolved == BackendAuto {
-		resolved = BackendUndo
-		// Adapt only for a root search: work-steal workers and
-		// prefix-partitioned subtree searches keep the undo backend so
-		// their seed-export behaviour stays uniform across workers.
-		auto = opt.Steal == nil && len(opt.Prefix) == 0
-	}
 	c := &cursor{
 		src:      src,
 		maxSteps: opt.maxSteps(),
-		backend:  resolved,
+		backend:  opt.backend(),
 		mcfg:     mcfg,
 		m:        model.NewMachineCfg(src, mcfg),
 		tr:       hb.NewTrackerChans(src.NumThreads(), src.NumVars(), src.NumMutexes(), model.NumChannels(src)),
 	}
-	switch c.backend {
-	case BackendUndo:
+	if c.backend == BackendUndo {
 		if c.m.EnableUndo() {
 			c.tr.EnableUndo()
-			c.autoPending = auto
-		} else {
-			c.backend = BackendReplay
-		}
-	case BackendSnapshot:
-		if snap, ok := c.m.Snapshot(); ok {
-			c.snaps = append(c.snaps, snapPair{m: snap, tr: c.tr.Clone()})
 		} else {
 			c.backend = BackendReplay
 		}
@@ -715,15 +659,13 @@ func newCursor(src model.Source, opt Options) *cursor {
 // pinned prefix that base is the initial state, so the replay backend
 // is strictly cheaper there — a reset rebuilds a fresh machine and
 // tracker instead of paying per-step undo logging (a coroutine
-// snapshot per event) or per-depth deep snapshots on the way forward —
-// and the requested backend is overridden. The backends are
-// observationally identical, so Results are unchanged (pinned by
-// TestBackendAblationExact). A pinned prefix keeps the requested
-// backend: rewinding to the base then beats re-executing the prefix on
-// every walk.
+// snapshot per event) on the way forward — and the requested backend
+// is overridden. The backends are observationally identical, so
+// Results are unchanged (pinned by TestBackendAblationExact). A pinned
+// prefix keeps the requested backend: rewinding to the base then beats
+// re-executing the prefix on every walk.
 func newWalkCursor(src model.Source, opt Options) *cursor {
 	if len(opt.Prefix) == 0 {
-		opt.DisableSnapshots = false
 		opt.Backend = BackendReplay
 	}
 	return newCursor(src, opt)
@@ -754,16 +696,12 @@ func (c *cursor) diverged() bool { return c.m.HasDiverged() }
 func (c *cursor) step(t event.ThreadID) event.Event {
 	if len(c.trace) < c.seedDepth {
 		// The shipped tracker seed covers this prefix event: advance
-		// the machine only, keep the snapshot backend's depth-indexed
-		// slice aligned with placeholders, and install the seed when
-		// the covered prefix is fully replayed.
+		// the machine only, and install the seed when the covered
+		// prefix is fully replayed.
 		ev := c.m.Step(t)
 		c.trace = append(c.trace, ev)
 		c.choices = append(c.choices, t)
 		c.events++
-		if c.backend == BackendSnapshot {
-			c.snaps = append(c.snaps, snapPair{})
-		}
 		if len(c.trace) == c.seedDepth {
 			c.tr = c.seed
 			c.seed = nil
@@ -781,13 +719,6 @@ func (c *cursor) step(t event.ThreadID) event.Event {
 	c.trace = append(c.trace, ev)
 	c.choices = append(c.choices, t)
 	c.events++
-	if c.backend == BackendSnapshot {
-		snap, ok := c.m.Snapshot()
-		if !ok {
-			panic("explore: snapshot support vanished mid-exploration")
-		}
-		c.snaps = append(c.snaps, snapPair{m: snap, tr: c.tr.Clone()})
-	}
 	// The undo backend needs no per-step work here: the machine and
 	// tracker undo logs each recorded this step's reversal already.
 	return ev
@@ -820,41 +751,6 @@ func (c *cursor) replayPrefix(prefix []event.ThreadID, step func(event.ThreadID)
 	return len(prefix)
 }
 
-// autoProbeResets is how many resets BackendAuto measures before
-// settling; autoRebuildCost is replay's estimated fixed per-reset cost
-// (machine construction, coroutine restarts) in step units. Both are
-// heuristics calibrated against BenchmarkSnapshotVsReplay: replay wins
-// when resets target shallow depths (little to re-execute) while undo
-// pays logging on every forward step; undo wins when resets rewind a
-// few steps off a deep retained prefix (the stack engines).
-const (
-	autoProbeResets = 8
-	autoRebuildCost = 8
-)
-
-// autoObserve accumulates the estimated per-reset cost of the two
-// candidate backends while BackendAuto is still measuring. Undo pays
-// for rewinding len(trace)−d records plus undo-logging roughly that
-// many re-executed forward steps; replay pays for re-executing the d
-// retained steps plus a machine rebuild. After autoProbeResets the
-// cheaper backend is locked in for the rest of the run; switching to
-// replay drops both undo logs. The backends are observationally
-// identical, so the choice never shows in a Result.
-func (c *cursor) autoObserve(d int) {
-	c.autoResets++
-	c.autoUndoC += 2 * (len(c.trace) - d)
-	c.autoReplayC += d + autoRebuildCost
-	if c.autoResets < autoProbeResets {
-		return
-	}
-	c.autoPending = false
-	if c.autoReplayC < c.autoUndoC {
-		c.backend = BackendReplay
-		c.m.DisableUndo()
-		c.tr.DisableUndo()
-	}
-}
-
 // resetTo truncates the execution back to depth d (0 ≤ d ≤ depth()).
 func (c *cursor) resetTo(d int) {
 	if d > len(c.trace) {
@@ -864,26 +760,13 @@ func (c *cursor) resetTo(d int) {
 		return
 	}
 	c.backtracks++
-	if c.autoPending {
-		c.autoObserve(d)
-	}
-	switch c.backend {
-	case BackendUndo:
+	if c.backend == BackendUndo {
 		// Both undo logs rewind in place: O(1) per popped step, no
 		// copies. The tracker log starts at trBase (0, or the seed
 		// install depth).
 		c.m.UndoTo(d)
 		c.tr.UndoTo(d - c.trBase)
-	case BackendSnapshot:
-		base := c.snaps[d]
-		restored, ok := base.m.Snapshot()
-		if !ok {
-			panic("explore: snapshot restore failed")
-		}
-		c.m = restored
-		c.tr = base.tr.Clone()
-		c.snaps = c.snaps[:d+1]
-	default:
+	} else {
 		c.m.Abort()
 		c.m = model.NewMachineCfg(c.src, c.mcfg)
 		c.tr = hb.NewTrackerChans(c.src.NumThreads(), c.src.NumVars(), c.src.NumMutexes(), model.NumChannels(c.src))
@@ -899,7 +782,7 @@ func (c *cursor) resetTo(d int) {
 
 // close releases any external resources of the live execution; the
 // cursor must not be used afterwards. Only the replay backend can hold
-// abortable (Go-closure) coroutines: the other backends require
+// abortable (Go-closure) coroutines: the undo backend requires
 // snapshottable programs, which are self-contained by construction.
 func (c *cursor) close() {
 	if c.backend == BackendReplay {

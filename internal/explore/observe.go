@@ -61,9 +61,8 @@ type Counters struct {
 	// MaxDepth latches the deepest execution seen.
 	MaxDepth atomic.Int64
 
-	// backend latches the resolved BackendKind + 1 once a cursor
-	// commits to one (0 = not yet resolved; BackendAuto is never
-	// stored — it resolves before it latches).
+	// backend latches the resolved BackendKind + 1 when a search's
+	// cursor is built (0 = no search has started).
 	backend atomic.Int32
 }
 
@@ -76,8 +75,8 @@ func (c *Counters) setBackend(b BackendKind) {
 	c.backend.Store(int32(b) + 1)
 }
 
-// Backend returns the resolved backend name, or "" while the adaptive
-// choice is still being measured.
+// Backend returns the resolved backend name, or "" before any search
+// using these counters has started.
 func (c *Counters) Backend() string {
 	v := c.backend.Load()
 	if v == 0 {
@@ -143,8 +142,8 @@ type Progress struct {
 	StealReceived   int64 `json:"steal_received"`
 	MaxDepth        int64 `json:"max_depth"`
 
-	// Backend is the resolved backtracking backend ("undo", "replay",
-	// "snapshot"), or "" while BackendAuto is still measuring.
+	// Backend is the resolved backtracking backend ("undo" or
+	// "replay"), latched when the search's cursor is built.
 	Backend string `json:"backend,omitempty"`
 
 	// Elapsed is the wall clock since the delivering search started.
@@ -427,9 +426,6 @@ func (t *telemetry) flush(r *recorder, c *cursor) {
 		}
 		if hints := c.mcfg.Hints; hints != nil {
 			add64(&t.ctr.DivergeHintHits, hints.Hits(), &f.hintHits)
-		}
-		if !c.autoPending {
-			t.ctr.setBackend(c.backend)
 		}
 	}
 	add64(&t.ctr.DedupHits, t.dedupHits, &f.dedupHits)

@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/event"
+	"repro/internal/model"
 )
 
 // TestTelemetryNilWhenUnarmed: plain options allocate no telemetry at
@@ -152,5 +154,46 @@ func TestCountersBackendLatch(t *testing.T) {
 	NewDFS().Explore(curatedSharedCounter(), Options{MaxSteps: 2000, Counters: ctr, Backend: BackendReplay})
 	if got := ctr.Backend(); got != BackendReplay.String() {
 		t.Fatalf("Backend() = %q, want %q", got, BackendReplay.String())
+	}
+}
+
+// TestTelemetryNamesBackendFromFirstSnapshot: the backend is latched
+// when the cursor is built, so a search that ends after a handful of
+// resets — a first-bug hunt — still names it, in the shared Counters
+// and in every Progress snapshot.
+func TestTelemetryNamesBackendFromFirstSnapshot(t *testing.T) {
+	bm, ok := bench.ByName("counter-racy-2x2")
+	if !ok {
+		t.Fatal("missing benchmark counter-racy-2x2")
+	}
+	for _, tc := range []struct {
+		name string
+		src  model.Source
+		want string
+	}{
+		{"first-bug dfs", bm.Program, "undo"},
+		{"goharness first-bug dfs", buildHarnessVariant("latch", 2, false, true), "replay"},
+	} {
+		ctr := NewCounters()
+		var seen []string
+		res := NewDFS().Explore(tc.src, Options{
+			MaxSteps: 2000, StopAtFirstBug: true, Counters: ctr,
+			Observer: &Observer{
+				EverySchedules: 1,
+				OnProgress:     func(p Progress) { seen = append(seen, p.Backend) },
+			},
+		})
+		if res.FirstViolation == nil {
+			t.Fatalf("%s: no bug found", tc.name)
+		}
+		if got := ctr.Backend(); got != tc.want {
+			t.Errorf("%s: Counters.Backend() = %q, want %q", tc.name, got, tc.want)
+		}
+		for i, b := range seen {
+			if b != tc.want {
+				t.Errorf("%s: snapshot %d of %d names backend %q, want %q", tc.name, i+1, len(seen), b, tc.want)
+				break
+			}
+		}
 	}
 }

@@ -19,7 +19,7 @@ func TestOptionsValidate(t *testing.T) {
 		wantErr string
 	}{
 		{"zero value", Options{}, ""},
-		{"typical", Options{ScheduleLimit: 1000, MaxSteps: 200, Backend: BackendSnapshot}, ""},
+		{"typical", Options{ScheduleLimit: 1000, MaxSteps: 200, Backend: BackendReplay}, ""},
 		{"negative limit", Options{ScheduleLimit: -1}, "negative ScheduleLimit"},
 		{"negative max steps", Options{MaxSteps: -3}, "negative MaxSteps"},
 		{"unknown backend", Options{Backend: BackendReplay + 1}, "unknown backend"},
@@ -79,8 +79,8 @@ func TestZeroBudgetMeansUnlimited(t *testing.T) {
 // TestUnknownBackendFailsLoudly: resolution and validation agree on
 // out-of-range BackendKind values. Validate rejects them, and an
 // engine built from unvalidated options panics instead of silently
-// exploring under replay — an ablation run under the wrong backend is
-// worse than no run.
+// exploring under another backend — an ablation run under the wrong
+// backend is worse than no run.
 func TestUnknownBackendFailsLoudly(t *testing.T) {
 	bogus := BackendReplay + 7
 	if got := bogus.String(); !strings.Contains(got, "backend(") {

@@ -895,6 +895,12 @@ func (m *Machine) Abort() {
 // Snapshot returns a deep copy of the machine, or ok=false if any live
 // coroutine does not support snapshotting. The copy starts with an
 // empty undo log and undo recording disabled.
+//
+// Snapshot is not an exploration backend: exploration rewinds through
+// the undo log (EnableUndo/UndoTo) or replays. It is the independent
+// reference implementation the undo-log tests (TestUndo*,
+// TestQuickSnapshotEquivalence) compare UndoTo against, state for
+// state, so it stays even though no engine calls it.
 func (m *Machine) Snapshot() (*Machine, bool) {
 	cp := &Machine{
 		src:       m.src,
@@ -931,11 +937,10 @@ func (m *Machine) Snapshot() (*Machine, bool) {
 
 // EnableUndo switches the machine to record an undo log: every Step
 // appends one O(1) reversal record and UndoTo rewinds the machine in
-// place, replacing deep per-step snapshots on the exploration hot
-// path. It reports false (and records nothing) when a live coroutine
-// does not support snapshotting — such programs must be explored by
-// replay. Threads spawned later must be snapshottable too; Step panics
-// otherwise, mirroring Snapshot-based exploration.
+// place, with no per-step copy of the machine. It reports false (and
+// records nothing) when a live coroutine does not support
+// snapshotting — such programs must be explored by replay. Threads
+// spawned later must be snapshottable too; Step panics otherwise.
 func (m *Machine) EnableUndo() bool {
 	for t, c := range m.cor {
 		if m.status[t] != Running || c == nil {
@@ -947,14 +952,6 @@ func (m *Machine) EnableUndo() bool {
 	}
 	m.undoEnabled = true
 	return true
-}
-
-// DisableUndo stops undo recording and drops the log: the machine can
-// no longer rewind but keeps executing normally. The adaptive
-// exploration backend uses it to settle on replay after measuring.
-func (m *Machine) DisableUndo() {
-	m.undoEnabled = false
-	m.undo = nil
 }
 
 // UndoMark returns the current position in the undo log. With undo

@@ -21,7 +21,7 @@ type EngineInfo = engines.Info
 // (dfs, dpor, dpor+sleep, lazy-dpor, hbr-caching, lazy-hbr-caching,
 // pb, db, random, pct, pos) plus the iterative-deepening loops
 // (chess-pb, chess-db) and the parallel searches (pdfs, pdpor,
-// pdpor-static, prandom).
+// prandom).
 //
 // The randomized engines (random, prandom, pct, pos) are seed-
 // reproducible: every spec takes an integer seed (default 1), walk i

@@ -29,6 +29,11 @@
 // adds new ones, so third-party engines plug into Run, campaigns and
 // the eval tooling without forking.
 //
+// Backtracking needs no option: programs whose threads can snapshot
+// (the benchmark corpus) rewind through an undo log, and closure
+// programs built with [NewProgram], which cannot, re-execute the
+// retained schedule prefix. Both give byte-identical Results.
+//
 // # Campaigns
 //
 // [NewCampaign] runs a grid of (benchmark, engine) cells across a
