@@ -565,6 +565,17 @@ func BenchmarkCorpusConstruction(b *testing.B) {
 	}
 }
 
+// BenchmarkCorpusLookup measures resolving one program by name, as
+// each campaign cell does: it builds that one program, not the corpus.
+func BenchmarkCorpusLookup(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, ok := bench.ByName("chan-mesh-2p2c"); !ok {
+			b.Fatal("chan-mesh-2p2c missing")
+		}
+	}
+}
+
 // harnessCoarse builds the goroutine-harness twin of
 // coarse-disjoint-2x2 for the frontend comparison.
 func harnessCoarse() *goharness.Program {

@@ -44,16 +44,9 @@ func hostileEntries() []entry {
 
 // Hostile builds the hostile corpus with IDs HostileIDBase+1 upward.
 func Hostile() []Benchmark {
-	es := hostileEntries()
-	out := make([]Benchmark, len(es))
-	for i, e := range es {
-		out[i] = Benchmark{
-			ID:      HostileIDBase + i + 1,
-			Name:    e.name,
-			Family:  e.family,
-			Notes:   e.notes,
-			Program: e.build(),
-		}
+	out := make([]Benchmark, len(hostile))
+	for i, e := range hostile {
+		out[i] = e.benchmark(HostileIDBase + i + 1)
 	}
 	return out
 }

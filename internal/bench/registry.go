@@ -9,6 +9,11 @@
 // entries reproduce the paper's corpus size and keep their IDs
 // pinned; the channel family (IDs 80+) extends the evaluation to the
 // message-passing dependence rules the Java corpus could not exhibit.
+//
+// Entries are registered once, as builders, when the package is
+// initialised. ByName and ByID build only the program they return, so
+// a campaign that resolves one program per cell pays for that program
+// alone; All builds the whole corpus afresh on every call.
 package bench
 
 import (
@@ -65,20 +70,35 @@ func allEntries() []entry {
 	return es
 }
 
+// The registration tables, built once at package initialisation and
+// never modified: corpus[i] has ID i+1, hostile[i] has ID
+// HostileIDBase+i+1, and ids maps every corpus and hostile name to its
+// ID. Entries hold builders, not programs, so every lookup still
+// builds a fresh program.
+var (
+	corpus  = allEntries()
+	hostile = hostileEntries()
+	ids     = nameIndex()
+)
+
+// benchmark builds the entry's program under the given ID.
+func (e entry) benchmark(id int) Benchmark {
+	return Benchmark{
+		ID:      id,
+		Name:    e.name,
+		Family:  e.family,
+		Notes:   e.notes,
+		Program: e.build(),
+	}
+}
+
 // All builds the full corpus. Programs are immutable and stateless, so
 // the result can be shared; All rebuilds on each call to keep callers
 // independent.
 func All() []Benchmark {
-	es := allEntries()
-	out := make([]Benchmark, len(es))
-	for i, e := range es {
-		out[i] = Benchmark{
-			ID:      i + 1,
-			Name:    e.name,
-			Family:  e.family,
-			Notes:   e.notes,
-			Program: e.build(),
-		}
+	out := make([]Benchmark, len(corpus))
+	for i, e := range corpus {
+		out[i] = e.benchmark(i + 1)
 	}
 	return out
 }
@@ -86,36 +106,34 @@ func All() []Benchmark {
 // Count is the corpus size: the paper's 79 plus the channel family.
 const Count = 88
 
-// ByName returns the benchmark with the given name. It resolves both
-// the pinned 79-entry corpus and the hostile fault-injection programs
-// (see hostile.go), which are addressable by name only.
+// ByName returns the benchmark with the given name, building only that
+// program. It resolves both the pinned corpus and the hostile
+// fault-injection programs (see hostile.go), which are addressable by
+// name only.
 func ByName(name string) (Benchmark, bool) {
-	for _, b := range All() {
-		if b.Name == name {
-			return b, true
-		}
+	id, ok := ids[name]
+	switch {
+	case !ok:
+		return Benchmark{}, false
+	case id > HostileIDBase:
+		return hostile[id-HostileIDBase-1].benchmark(id), true
 	}
-	for _, b := range Hostile() {
-		if b.Name == name {
-			return b, true
-		}
-	}
-	return Benchmark{}, false
+	return corpus[id-1].benchmark(id), true
 }
 
-// ByID returns the benchmark with the given 1-based ID.
+// ByID returns the corpus benchmark with the given 1-based ID,
+// building only that program.
 func ByID(id int) (Benchmark, bool) {
-	all := All()
-	if id < 1 || id > len(all) {
+	if id < 1 || id > len(corpus) {
 		return Benchmark{}, false
 	}
-	return all[id-1], true
+	return corpus[id-1].benchmark(id), true
 }
 
 // Families lists the distinct family names, sorted.
 func Families() []string {
 	seen := map[string]bool{}
-	for _, e := range allEntries() {
+	for _, e := range corpus {
 		seen[e.family] = true
 	}
 	out := make([]string, 0, len(seen))
@@ -128,30 +146,34 @@ func Families() []string {
 
 // Names lists all benchmark names in ID order.
 func Names() []string {
-	es := allEntries()
-	out := make([]string, len(es))
-	for i, e := range es {
+	out := make([]string, len(corpus))
+	for i, e := range corpus {
 		out[i] = e.name
 	}
 	return out
 }
 
-func mustUnique(es []entry) {
-	seen := map[string]bool{}
-	for _, e := range es {
-		if seen[e.name] {
-			panic(fmt.Sprintf("bench: duplicate benchmark name %q", e.name))
+// nameIndex maps every corpus and hostile name to its ID. Names must
+// be unique across both sets, since ByName resolves both.
+func nameIndex() map[string]int {
+	m := make(map[string]int, len(corpus)+len(hostile))
+	add := func(name string, id int) {
+		if _, dup := m[name]; dup {
+			panic(fmt.Sprintf("bench: duplicate benchmark name %q", name))
 		}
-		seen[e.name] = true
+		m[name] = id
 	}
+	for i, e := range corpus {
+		add(e.name, i+1)
+	}
+	for i, e := range hostile {
+		add(e.name, HostileIDBase+i+1)
+	}
+	return m
 }
 
 func init() {
-	es := allEntries()
-	if len(es) != Count {
-		panic(fmt.Sprintf("bench: corpus has %d entries, want %d", len(es), Count))
+	if len(corpus) != Count {
+		panic(fmt.Sprintf("bench: corpus has %d entries, want %d", len(corpus), Count))
 	}
-	// Names must be unique across the corpus AND the hostile set, since
-	// ByName resolves both.
-	mustUnique(append(append([]entry(nil), es...), hostileEntries()...))
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/lazyrand"
 	"repro/internal/model"
 	"repro/internal/progdsl"
 )
@@ -33,7 +34,7 @@ func syntheticEntries() []entry {
 // optional critical sections; all control decisions come from the
 // seeded source, so the same seed always yields the same program.
 func synthetic(seed int64) model.Source {
-	rng := rand.New(rand.NewSource(seed * 7919))
+	rng := rand.New(lazyrand.New(seed * 7919))
 	nthreads := 2 + rng.Intn(2)      // 2..3
 	nshared := 1 + rng.Intn(3)       // 1..3 shared variables
 	nmutex := 1 + rng.Intn(2)        // 1..2 mutexes

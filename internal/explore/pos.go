@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/lazyrand"
 	"repro/internal/model"
 )
 
@@ -53,8 +54,9 @@ func (e *posEngine) Explore(src model.Source, opt Options) Result {
 	base := c.replayPrefix(opt.Prefix, nil)
 
 	prio := make([]float64, src.NumThreads())
+	rng := rand.New(new(lazyrand.Source))
 	for i := 0; i < walks; i++ {
-		rng := rand.New(rand.NewSource(mixWalkSeed(e.seed, i)))
+		rng.Seed(mixWalkSeed(e.seed, i))
 		for t := range prio {
 			prio[t] = rng.Float64()
 		}

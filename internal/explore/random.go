@@ -3,6 +3,7 @@ package explore
 import (
 	"math/rand"
 
+	"repro/internal/lazyrand"
 	"repro/internal/model"
 )
 
@@ -10,11 +11,13 @@ import (
 // non-systematic baseline ("random testing"). It offers no coverage
 // guarantee; the paper's techniques exist to beat it.
 //
-// Each walk draws from its own rng seeded by mixWalkSeed(seed, index),
+// Each walk draws from the rng reseeded with mixWalkSeed(seed, index),
 // so walk i is the same schedule whether the walks run sequentially or
 // are fanned out across workers in index ranges — the property the
 // campaign package's parallel random search relies on for exact
-// counter agreement with the sequential engine.
+// counter agreement with the sequential engine. The rng is one
+// lazyrand.Source per Explore, whose O(1) Seed gives the stream
+// math/rand.NewSource would, without refilling 607 words per walk.
 type randomEngine struct {
 	seed int64
 	// firstWalk and walks restrict the engine to walk indices
@@ -65,8 +68,9 @@ func (e *randomEngine) Explore(src model.Source, opt Options) Result {
 	defer c.close()
 	rec := newRecorder(src, e.Name(), opt, c)
 	base := c.replayPrefix(opt.Prefix, nil)
+	rng := rand.New(new(lazyrand.Source))
 	for i := 0; i < walks; i++ {
-		rng := rand.New(rand.NewSource(mixWalkSeed(e.seed, e.firstWalk+i)))
+		rng.Seed(mixWalkSeed(e.seed, e.firstWalk+i))
 		for !c.truncated() {
 			en := c.enabled()
 			if len(en) == 0 {
